@@ -3,9 +3,10 @@
 The legacy driver re-infers every plan property and restarts a full-DAG
 scan from the root after *every* rule application — O(steps × nodes ×
 rules).  The worklist driver replaces that with pattern-indexed dispatch,
-cross-step property memos migrated along mechanical rebuilds, and a
-failure memo over unchanged nodes, so each step costs roughly the dirty
-cone of the previous application.
+a plan index that folds in each pushout's delta (parents, post-order and
+properties of only the changed region), and a failure memo over unchanged
+nodes, so each step costs roughly the region the previous application
+changed.
 
 This benchmark times **isolation only** (compile-time work; no document is
 needed) on the join-heavy XMark queries Q8-Q12 — the deepest join chains

@@ -93,8 +93,8 @@ class Pushout:
     ``with_children`` with all of its own fields intact.  Unlike ``glued``
     entries (whose shape the replacement dictates), a rebuilt node is
     field-for-field the old operator over new inputs — the equivalence the
-    rewrite driver's cross-step memos use to migrate property entries
-    across a step instead of discarding the whole ancestor cone.  A node
+    rewrite driver's plan index uses to carry property values over to the
+    rebuild instead of recomputing the whole ancestor cone.  A node
     rebuilt into *different* objects under different gluing contexts is
     omitted (no single counterpart exists).
     """
@@ -107,8 +107,7 @@ class Pushout:
 def pushout(
     root: Operator,
     replacements: Mapping[int, Operator],
-    parents: Optional[Mapping[int, list[Operator]]] = None,
-    order: Optional[list[Operator]] = None,
+    cone: Optional[list[Operator]] = None,
 ) -> Pushout:
     """Rebuild the DAG with ``replacements`` (keyed by ``id`` of the old node).
 
@@ -129,19 +128,19 @@ def pushout(
     silently breaks every rewrite premise that relies on shared anchors
     (``left_origin[0] is right_origin[0]``).
 
-    ``parents`` is an optional ``id(node) -> [parent, ...]`` index of the
-    plan.  A caller that maintains one (the worklist rewrite driver builds
-    it once per step anyway) enables the single-replacement fast path: the
-    rebuild cone — the ancestors of the one replaced node — is found by
-    walking the index upward, so the substitution costs O(cone) instead of
-    a full-plan reachability pass.  ``order`` (the plan's topological
-    order, children first) additionally turns the cone rebuild into a flat
-    bottom-up loop.  The resulting graph is identical to the generic
-    path's.
+    ``cone`` optionally lists the ancestors of the one replaced node,
+    children before parents, in the plan's post-order.  A caller that
+    indexes its plan (the worklist rewrite driver's
+    :class:`~repro.core.properties.PlanIndex`) enables the
+    single-replacement fast path with it: only the cone is rebuilt, so the
+    substitution costs O(cone) instead of a full-plan pass.  The resulting
+    graph, and the order of the operator constructor calls (hence which
+    invariant a rejected rewrite trips first), are identical to the
+    generic path's.
     """
-    if parents is not None and len(replacements) == 1:
+    if cone is not None and len(replacements) == 1:
         ((target_id, replacement),) = tuple(replacements.items())
-        return _pushout_single(root, target_id, replacement, parents, order)
+        return _pushout_cone(root, target_id, replacement, cone)
     #: ``reach(node)`` = the replacement keys reachable from ``node``.  Memo
     #: keys below pair a node id with the *relevant* slice of the banned set
     #: (``banned & reach``), so a node rebuilt in unrelated contexts still
@@ -166,7 +165,10 @@ def pushout(
     ambiguous: set[int] = set()
 
     def rebuild(node: Operator, banned: frozenset[int]) -> Operator:
-        effective = banned & reach(node)
+        reachable = reach(node)
+        if not reachable:
+            return node  # nothing below is replaced
+        effective = banned & reachable
         key = (id(node), effective)
         if key in memo:
             return memo[key]
@@ -184,7 +186,7 @@ def pushout(
                 previous = rebuilt.setdefault(id(node), result)
                 if previous is not result:
                     # Rebuilt differently under two gluing contexts: there
-                    # is no single counterpart to migrate memo entries to.
+                    # is no single counterpart to hand index entries to.
                     ambiguous.add(id(node))
         memo[key] = result
         return result
@@ -195,67 +197,30 @@ def pushout(
     return Pushout(root=new_root, glued=glued, rebuilt=rebuilt)
 
 
-def _pushout_single(
-    root: Operator,
-    target_id: int,
-    replacement: Operator,
-    parents: Mapping[int, list[Operator]],
-    order: Optional[list[Operator]] = None,
+def _pushout_cone(
+    root: Operator, target_id: int, replacement: Operator, cone: list[Operator]
 ) -> Pushout:
-    """The parents-indexed fast path of :func:`pushout` (one replacement).
+    """The fast path of :func:`pushout` for one replacement and its known cone.
 
     Only the ancestors of the target can change; everything else — the
     target's own subtree, the replacement's internals (where a preserved
     occurrence of the target legitimately lives, cf. the banned set of the
     generic path), and all unrelated nodes — is spliced in by identity.
+    The cone is rebuilt in post-order, children before parents, which is
+    the order in which the generic path's recursion reaches its nodes.
     """
-    cone: set[int] = set()
-    stack: list[int] = [target_id]
-    while stack:
-        for parent in parents.get(stack.pop(), ()):
-            parent_id = id(parent)
-            if parent_id not in cone:
-                cone.add(parent_id)
-                stack.append(parent_id)
     mapped: dict[int, Operator] = {target_id: replacement}
     rebuilt: dict[int, Operator] = {}
-
-    if order is not None:
-        # Flat bottom-up rebuild: ``order`` lists children before parents,
-        # so every cone node's children are already mapped when reached.
-        for node in order:
-            if id(node) not in cone:
-                continue
-            new_children = [mapped.get(id(child), child) for child in node.children]
-            if all(new is old for new, old in zip(new_children, node.children)):
-                result = node
-            else:
-                result = node.with_children(new_children)
-                rebuilt[id(node)] = result
-            mapped[id(node)] = result
-        return Pushout(
-            root=mapped.get(id(root), root),
-            glued={target_id: replacement},
-            rebuilt=rebuilt,
-        )
-
-    def rebuild_cone(node: Operator) -> Operator:
-        known = mapped.get(id(node))
-        if known is not None:
-            return known
-        if id(node) not in cone:
-            return node
-        new_children = [rebuild_cone(child) for child in node.children]
-        if all(new is old for new, old in zip(new_children, node.children)):
+    for node in cone:
+        new_children = [mapped.get(id(child), child) for child in node.children]
+        if tuple(new_children) == node.children:  # operators compare by identity
             result = node
         else:
             result = node.with_children(new_children)
             rebuilt[id(node)] = result
         mapped[id(node)] = result
-        return result
-
     return Pushout(
-        root=rebuild_cone(root), glued={target_id: replacement}, rebuilt=rebuilt
+        root=mapped.get(id(root), root), glued={target_id: replacement}, rebuilt=rebuilt
     )
 
 

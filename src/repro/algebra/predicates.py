@@ -18,7 +18,7 @@ function ``cols(·)`` of the paper corresponds to the ``columns()`` methods.
 from __future__ import annotations
 
 import operator as _operator_module
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from repro.errors import AlgebraError
@@ -244,12 +244,19 @@ class Predicate:
     """A conjunction of comparisons (possibly a single one)."""
 
     conjuncts: tuple[Comparison, ...]
+    #: ``cols(·)`` of the conjunction, computed once: σ/⋈ constructors and
+    #: property inference ask for it on every plan rebuild.
+    _columns: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __init__(self, conjuncts: Iterable[Comparison]):
         conjuncts = tuple(conjuncts)
         if not conjuncts:
             raise AlgebraError("a predicate needs at least one conjunct")
         object.__setattr__(self, "conjuncts", conjuncts)
+        columns: frozenset[str] = frozenset()
+        for conjunct in conjuncts:
+            columns |= conjunct.columns()
+        object.__setattr__(self, "_columns", columns)
 
     @staticmethod
     def of(*conjuncts: Comparison) -> "Predicate":
@@ -261,10 +268,7 @@ class Predicate:
         return Predicate.of(Comparison(ColumnRef(left), "=", ColumnRef(right)))
 
     def columns(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for conjunct in self.conjuncts:
-            result |= conjunct.columns()
-        return result
+        return self._columns
 
     def rename(self, mapping: Mapping[str, str]) -> "Predicate":
         return Predicate(conjunct.rename(mapping) for conjunct in self.conjuncts)

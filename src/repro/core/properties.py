@@ -19,17 +19,27 @@ For every operator of a plan DAG four properties are inferred:
     further up on *every* path to the root (top-down, seeded ``False`` at
     the root, conjunctively accumulated).
 
-The rewrite rules of :mod:`repro.core.rules` consult these properties
-through a :class:`PlanProperties` snapshot; the snapshot is recomputed after
-every rewrite step (the plans are small enough — a few hundred operators —
-for this to be cheap).
+The rewrite rules of :mod:`repro.core.rewrite.rules` consult these
+properties through their rule context, which reads them from one of two
+sources:
+
+* :func:`infer_properties` computes a :class:`PlanProperties` snapshot from
+  scratch.  The legacy rewrite driver calls it after every step, and it is
+  the reference the incremental source is tested against.
+* :class:`PlanIndex` is the worklist driver's incremental source.  It is
+  built once per isolation run, together with the parent lists, the
+  post-order and the σ/⋈ set.  Each rewrite step then updates only the
+  region its pushout changed.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.algebra.dag import iter_nodes, topological_order
+from repro.algebra.dag import Pushout, topological_order
 from repro.algebra.operators import (
     Attach,
     Cross,
@@ -51,61 +61,24 @@ from repro.algebra.operators import (
 SERIALIZE_ICOLS = frozenset({"pos", "item"})
 
 
-#: Cross-step memo for the bottom-up properties: ``id(node) -> (node, child
-#: states, const, keys)`` with one ``(columns, const, keys)`` triple per
-#: child.  ``const`` / ``keys`` are a pure function of the node's own fields
-#: and its children's ``(columns, const, keys)``, so an entry is valid when
-#: the pinned node is identical (same fields) and every child's current
-#: values match the stored triple.  Entries therefore survive the pushout's
-#: mechanical ancestor rebuilds: the rewrite driver re-keys them along
-#: :attr:`~repro.algebra.dag.Pushout.rebuilt` (a ``with_children`` rebuild
-#: preserves all fields), and the child-state check picks up whether the
-#: rewrite below actually changed anything the node's properties depend on.
-#: Recomputed-but-equal values re-use the previous value *object*, which is
-#: what lets parents validate by identity instead of deep comparison.
-BottomUpMemo = dict
-
-#: Cross-step memo for the top-down state: ``id(node) -> (node, parent
-#: tuple, parent state tuple, icols, set, refs, columns)``.  ``icols`` /
-#: ``set`` / ``refs`` (the structural upstream references of
-#: :meth:`~repro.core.rewrite.context.RuleContext.upstream_refs`) of a node
-#: are each a pure function of its own column schema plus its parents'
-#: fields and top-down state, so an entry is valid when every stored parent
-#: is the identical object — or its mechanical rebuild, looked up through
-#: the step's ``rebuilt`` map — holding the identical state objects, and the
-#: node's schema is unchanged.  Re-inference recomputes only the cone
-#: actually affected by a rewrite: a recomputed-but-equal value re-uses the
-#: previous value *object*, which lets the identity check cut the cascade
-#: off at the first node whose properties did not really change.
-TopDownMemo = dict
-
-#: The one empty-refs object: seeds and recomputations share it so the
-#: identity checks above hold across steps without a value comparison.
+#: The one empty-refs object: seeds and recomputations share it, so an
+#: empty value keeps its identity across rewrite steps.
 _NO_REFS: frozenset[str] = frozenset()
 
 
 class PlanProperties:
-    """A property snapshot for every operator of one plan DAG."""
+    """A property snapshot for every operator of one plan DAG.
 
-    def __init__(
-        self,
-        root: Operator,
-        bottom_up_memo: Optional[BottomUpMemo] = None,
-        top_down_memo: Optional[TopDownMemo] = None,
-        order: Optional[list[Operator]] = None,
-        parents: Optional[dict[int, list[Operator]]] = None,
-        rebuilt: Optional[dict[int, Operator]] = None,
-    ):
+    Filled from scratch by :func:`infer_properties`; the worklist driver's
+    :class:`PlanIndex` answers the same queries incrementally.
+    """
+
+    def __init__(self, root: Operator):
         self.root = root
         self._icols: dict[int, frozenset[str]] = {}
         self._const: dict[int, dict[str, object]] = {}
         self._keys: dict[int, frozenset[frozenset[str]]] = {}
         self._set: dict[int, bool] = {}
-        #: ``upstream_refs`` per node — populated only by the memoized
-        #: top-down pass; ``None`` means the rule context computes refs
-        #: lazily itself (the legacy driver's mode).
-        self._refs: Optional[dict[int, frozenset[str]]] = None
-        self._infer(bottom_up_memo, top_down_memo, order, parents, rebuilt)
 
     # -- public accessors --------------------------------------------------------
 
@@ -125,189 +98,24 @@ class PlanProperties:
         """True when some candidate key of ``node`` is contained in ``columns``."""
         return any(key <= columns for key in self.keys(node))
 
-    # -- inference ----------------------------------------------------------------
+    # -- from-scratch inference ---------------------------------------------------
 
-    def _infer(
-        self,
-        bottom_up_memo: Optional[BottomUpMemo],
-        top_down_memo: Optional[TopDownMemo],
-        order: Optional[list[Operator]],
-        parents: Optional[dict[int, list[Operator]]],
-        rebuilt: Optional[dict[int, Operator]],
-    ) -> None:
-        if order is None:
-            order = topological_order(self.root)
+    def _infer(self, order: list[Operator]) -> None:
         const_by, keys_by = self._const, self._keys
         # Bottom-up: const and key.
         for node in order:
-            node_id = id(node)
-            entry = bottom_up_memo.get(node_id) if bottom_up_memo is not None else None
-            if entry is not None and entry[0] is node:
-                for child, (columns, child_const, child_keys) in zip(
-                    node.children, entry[1]
-                ):
-                    if (
-                        const_by[id(child)] is not child_const
-                        or keys_by[id(child)] is not child_keys
-                        or (columns is not child.columns and columns != child.columns)
-                    ):
-                        break
-                else:
-                    const_by[node_id] = entry[2]
-                    keys_by[node_id] = entry[3]
-                    continue
-            const = _infer_const(node, const_by)
-            keys = _infer_keys(node, keys_by)
-            # Recomputed-but-equal: keep the previous value *objects* so
-            # parents (and their memo entries) can validate by identity.
-            if entry is not None and entry[0] is node:
-                if const == entry[2]:
-                    const = entry[2]
-                if keys == entry[3]:
-                    keys = entry[3]
-            const_by[node_id] = const
-            keys_by[node_id] = keys
-            if bottom_up_memo is not None:
-                bottom_up_memo[node_id] = (
-                    node,
-                    tuple(
-                        (child.columns, const_by[id(child)], keys_by[id(child)])
-                        for child in node.children
-                    ),
-                    const,
-                    keys,
-                )
+            const_by[id(node)] = _infer_const(node, const_by)
+            keys_by[id(node)] = _infer_keys(node, keys_by)
         # Top-down: icols and set.  Parents appear after children in the
         # topological order, so walk it in reverse.
-        root = self.root
-        self._set[id(root)] = False
-        if isinstance(root, Serialize):
-            root_icols = SERIALIZE_ICOLS & frozenset(root.columns)
-            if not root_icols:
-                root_icols = frozenset(root.columns)
-        else:
-            root_icols = frozenset(root.columns)
-        if top_down_memo is not None and parents is not None:
-            # Seed the root through its memo entry so the seeds are the
-            # *same objects* step after step (the children's identity
-            # checks rely on that).
-            entry = top_down_memo.get(id(root))
-            if entry is not None and entry[0] is root and root_icols == entry[3]:
-                root_icols = entry[3]
-            top_down_memo[id(root)] = (
-                root, (), (), root_icols, False, _NO_REFS, root.columns
-            )
-            self._icols[id(root)] = root_icols
-            self._refs = {id(root): _NO_REFS}
-            self._pull_down_memoized(order, parents, top_down_memo, rebuilt)
-        else:
-            self._icols[id(root)] = root_icols
-            icols_by, set_by = self._icols, self._set
-            for node in order:
-                if id(node) not in icols_by:
-                    icols_by[id(node)] = frozenset()
-                    set_by[id(node)] = True
-            for node in reversed(order):
-                self._propagate_down(node)
-
-    def _pull_down_memoized(
-        self,
-        order: list[Operator],
-        parents: dict[int, list[Operator]],
-        memo: TopDownMemo,
-        rebuilt: Optional[dict[int, Operator]],
-    ) -> None:
-        """The pull-based, memoized equivalent of the ``_propagate_down`` pass.
-
-        Computes exactly the same unions (``icols``, ``refs``) and
-        conjunctions (``set``) as the push-based pass and the rule
-        context's lazy ``upstream_refs`` recursion, but per *node* instead
-        of per parent edge, which makes each node's result a pure function
-        of its parents — the shape the :data:`TopDownMemo` validation
-        needs.  ``rebuilt`` (the step's mechanical-rebuild map) lets an
-        entry stay valid when a stored parent was merely re-created by
-        ``with_children`` around an unrelated change: the rebuild has the
-        same fields, so its contribution is the same whenever its state is.
-        """
-        icols_by, set_by, refs_by = self._icols, self._set, self._refs
-        root = self.root
-        rebuilt_get = rebuilt.get if rebuilt is not None else {}.get
-        memo_get = memo.get
+        icols_by, set_by = self._icols, self._set
+        for node in order:
+            icols_by[id(node)] = frozenset()
+            set_by[id(node)] = True
+        icols_by[id(self.root)] = _root_icols(self.root)
+        set_by[id(self.root)] = False
         for node in reversed(order):
-            if node is root:
-                continue
-            node_id = id(node)
-            plist = parents[node_id]
-            entry = memo_get(node_id)
-            if (
-                entry is not None
-                and entry[0] is node
-                and len(entry[1]) == len(plist)
-                and (entry[6] is node.columns or entry[6] == node.columns)
-            ):
-                valid = True
-                stale_parents = False
-                for stored, current, state in zip(entry[1], plist, entry[2]):
-                    if stored is not current:
-                        if rebuilt_get(id(stored)) is not current:
-                            valid = False
-                            break
-                        stale_parents = True
-                    current_id = id(current)
-                    if (
-                        icols_by[current_id] is not state[0]
-                        or set_by[current_id] != state[1]
-                        or refs_by[current_id] is not state[2]
-                    ):
-                        valid = False
-                        break
-                if valid:
-                    icols_by[node_id] = entry[3]
-                    set_by[node_id] = entry[4]
-                    refs_by[node_id] = entry[5]
-                    if stale_parents:
-                        # Refresh the parent tuple: the rebuilt map only
-                        # covers the *current* step's rebuilds.
-                        memo[node_id] = (node, tuple(plist)) + entry[2:]
-                    continue
-            icols: frozenset[str] = frozenset()
-            is_set = True
-            refs: set[str] = set()
-            for parent in plist:
-                parent_id = id(parent)
-                parent_icols = icols_by[parent_id]
-                parent_set = set_by[parent_id]
-                for position, child in enumerate(parent.children):
-                    if child is node:
-                        icols = icols | _child_icols(
-                            parent, position, node, parent_icols
-                        )
-                        is_set = is_set and _child_set(parent, position, parent_set)
-                refs |= _parent_refs(parent, node, refs_by[parent_id])
-            frozen_refs = frozenset(refs) if refs else _NO_REFS
-            # Recomputed-but-equal: keep the previous value *object* so the
-            # identity checks of this node's children (and their memo
-            # entries) stay valid — this is what stops one rewrite near the
-            # root from invalidating the entire plan's top-down state.
-            if entry is not None and entry[0] is node:
-                if icols == entry[3]:
-                    icols = entry[3]
-                if frozen_refs == entry[5]:
-                    frozen_refs = entry[5]
-            icols_by[node_id] = icols
-            set_by[node_id] = is_set
-            refs_by[node_id] = frozen_refs
-            memo[node_id] = (
-                node,
-                tuple(plist),
-                tuple(
-                    (icols_by[id(p)], set_by[id(p)], refs_by[id(p)]) for p in plist
-                ),
-                icols,
-                is_set,
-                frozen_refs,
-                node.columns,
-            )
+            self._propagate_down(node)
 
     def _propagate_down(self, node: Operator) -> None:
         icols_by, set_by = self._icols, self._set
@@ -323,28 +131,411 @@ class PlanProperties:
             )
 
 
-def infer_properties(
-    root: Operator,
-    bottom_up_memo: Optional[BottomUpMemo] = None,
-    top_down_memo: Optional[TopDownMemo] = None,
-    order: Optional[list[Operator]] = None,
-    parents: Optional[dict[int, list[Operator]]] = None,
-    rebuilt: Optional[dict[int, Operator]] = None,
-) -> PlanProperties:
+def infer_properties(root: Operator) -> PlanProperties:
     """Infer all four plan properties for the DAG rooted at ``root``.
 
-    ``bottom_up_memo`` optionally reuses ``const`` / ``key`` results for
-    subtrees preserved across rewrite steps (see :data:`BottomUpMemo`);
-    ``top_down_memo`` (which additionally needs the ``parents`` map) does
-    the same for ``icols`` / ``set`` (see :data:`TopDownMemo`).  ``order``
-    lets a caller that already traversed the plan share its topological
-    order instead of paying a second traversal, and ``rebuilt`` is the
-    step's mechanical-rebuild map (:attr:`~repro.algebra.dag.Pushout.rebuilt`)
-    that keeps memo entries valid across ``with_children`` rebuilds.
+    The from-scratch reference: the legacy rewrite driver calls it after
+    every step, and the worklist driver's :class:`PlanIndex` must agree
+    with it after every step.
     """
-    return PlanProperties(
-        root, bottom_up_memo, top_down_memo, order, parents, rebuilt
-    )
+    properties = PlanProperties(root)
+    properties._infer(topological_order(root))
+    return properties
+
+
+def _root_icols(root: Operator) -> frozenset[str]:
+    """``icols`` seed of the plan root (the serialization point's columns)."""
+    if isinstance(root, Serialize):
+        return SERIALIZE_ICOLS & frozenset(root.columns) or frozenset(root.columns)
+    return frozenset(root.columns)
+
+
+# ---------------------------------------------------------------------------
+# The delta-maintained plan index of the worklist rewrite driver
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PlanDelta:
+    """What one rewrite step changed, as :meth:`PlanIndex.apply` found it."""
+
+    #: Nodes that left the plan.
+    retired: list[Operator]
+    #: Surviving nodes whose parent multiset changed other than by a
+    #: parent's mechanical rebuild (see :attr:`~repro.algebra.dag.Pushout.rebuilt`).
+    reparented: list[Operator]
+    #: Whether a σ or ⋈ entered or left the plan (a rebuilt one counts).
+    predicates_changed: bool
+
+
+class Slot:
+    """One place of the plan: the node there now and what is indexed about it.
+
+    A slot outlives its node's *mechanical rebuilds* (same fields over new
+    inputs): the rebuild takes over the slot, and with it the parent list —
+    which holds slots, so an edge whose endpoints were both rebuilt is
+    untouched — and the property values, which stay valid unless an input
+    changed.
+    """
+
+    __slots__ = ("node", "parents", "const", "keys", "icols", "is_set", "refs")
+
+    def __init__(self, node: Operator):
+        self.node = node
+        #: One entry per child position of a parent that references ``node``.
+        self.parents: list[Slot] = []
+        self.const: dict[str, object] = {}
+        self.keys: frozenset[frozenset[str]] = frozenset()
+        self.icols: frozenset[str] = frozenset()
+        self.is_set = True
+        self.refs: frozenset[str] = _NO_REFS
+
+
+class _SlotField:
+    """``id(node) -> value`` of one slot attribute (for the ``_infer_*`` helpers)."""
+
+    __slots__ = ("_slots", "_name")
+
+    def __init__(self, slots: dict[int, Slot], name: str):
+        self._slots, self._name = slots, name
+
+    def __getitem__(self, node_id: int):
+        return getattr(self._slots[node_id], self._name)
+
+
+class ParentView:
+    """``id(node) -> [parent, ...]`` over a :class:`PlanIndex`.
+
+    The parent-map lookup rule guards use (``ctx.parents.get``).
+    """
+
+    __slots__ = ("_slots",)
+
+    def __init__(self, slots: dict[int, Slot]):
+        self._slots = slots
+
+    def get(self, node_id: int, default=None):
+        slot = self._slots.get(node_id)
+        if slot is None:
+            return default
+        return [parent.node for parent in slot.parents]
+
+
+class PlanIndex:
+    """Structure and properties of one plan, maintained across rewrite steps.
+
+    For every node of the current plan the index holds a :class:`Slot`:
+    its parents, its ``const`` / ``keys`` / ``icols`` / ``set`` / upstream
+    refs.  It also holds the post-order (:attr:`order`, :attr:`position`)
+    and the σ/⋈ nodes (:attr:`predicates`).  It answers the same queries
+    as :class:`PlanProperties` plus :meth:`refs`, and :attr:`parents` is a
+    parent map.  Built once per isolation run; afterwards :meth:`apply`
+    folds in each pushout, touching only what it changed:
+
+    * the post-order is recomputed by one DFS (its exact ``iter_nodes``
+      order decides which match a step applies); the nodes it meets that
+      are not indexed yet are the step's *new* nodes, and the old nodes it
+      no longer reaches are *retired*;
+    * a retired node's mechanical rebuild takes over its slot; every other
+      new node gets a fresh slot, every other retired node's slot is
+      dropped, and only the edges that are not mirrored by a rebuild are
+      added or removed;
+    * bottom-up values are recomputed child-first only for fresh slots and
+      for rebuilds below which an edge, value or schema changed;
+    * top-down values are recomputed parents-first only for fresh slots,
+      nodes whose parent multiset or schema changed, and the children of
+      nodes whose value changed — the cascade stops at the first node whose
+      value did not.
+
+    Recomputed-but-equal values keep the previous value *object*, so the
+    worklist driver's failure memo can compare values by identity.
+    """
+
+    def __init__(self, root: Operator):
+        self.root = root
+        #: ``id(node) -> Slot`` for every node of the current plan.
+        self.slots: dict[int, Slot] = {}
+        #: The σ/⋈ nodes of the plan (the operands of ``compared_origins``).
+        self.predicates: dict[int, Operator] = {}
+        self.order: list[Operator] = []
+        self.position: dict[int, int] = {}
+        self.parents = ParentView(self.slots)
+        new, _ = self._traverse(root)
+        slots, fresh = self.slots, {}
+        for node in new:
+            fresh[id(node)] = slots[id(node)] = Slot(node)
+            if isinstance(node, (Select, Join)):
+                self.predicates[id(node)] = node
+        for node in new:
+            for child in node.children:
+                slots[id(child)].parents.append(slots[id(node)])
+        self._refresh({}, fresh, set(), set())
+
+    # -- PlanProperties-compatible queries ----------------------------------------
+
+    def icols(self, node: Operator) -> frozenset[str]:
+        return self.slots[id(node)].icols
+
+    def const(self, node: Operator) -> dict[str, object]:
+        return self.slots[id(node)].const
+
+    def keys(self, node: Operator) -> frozenset[frozenset[str]]:
+        return self.slots[id(node)].keys
+
+    def is_set(self, node: Operator) -> bool:
+        return self.slots[id(node)].is_set
+
+    def refs(self, node: Operator) -> frozenset[str]:
+        """``node``'s upstream refs (cf. ``RuleContext.upstream_refs``)."""
+        return self.slots[id(node)].refs
+
+    def has_key_within(self, node: Operator, columns: frozenset[str]) -> bool:
+        """True when some candidate key of ``node`` is contained in ``columns``."""
+        return any(key <= columns for key in self.keys(node))
+
+    def ancestors(self, nodes: list[Operator]) -> list[Operator]:
+        """All proper ancestors of ``nodes``, children before parents."""
+        found: dict[int, Operator] = {}
+        stack = [self.slots[id(node)] for node in nodes]
+        while stack:
+            for parent in stack.pop().parents:
+                parent_id = id(parent.node)
+                if parent_id not in found:
+                    found[parent_id] = parent.node
+                    stack.append(parent)
+        position = self.position
+        return [found[node_id] for node_id in sorted(found, key=position.__getitem__)]
+
+    # -- one rewrite step ---------------------------------------------------------
+
+    def apply(self, result: Pushout) -> PlanDelta:
+        """Fold one pushout into the index and report what changed."""
+        slots, predicates = self.slots, self.predicates
+        old_root = self.root
+        self.root = result.root
+        new, reached = self._traverse(result.root)
+        retired = self._unreached(old_root, reached)
+        rebuilt = result.rebuilt
+        predicates_changed = False
+        # Retire the old nodes.  A retired node's mechanical rebuild takes
+        # over its slot (the old node is the rebuild's *counterpart*); the
+        # other retired slots are dropped.
+        old_slots: dict[int, Slot] = {}
+        counterpart: dict[int, Operator] = {}
+        dropped: list[Slot] = []
+        for node in retired:
+            node_id = id(node)
+            slot = old_slots[node_id] = slots.pop(node_id)
+            if predicates.pop(node_id, None) is not None:
+                predicates_changed = True
+            rebuild = rebuilt.get(node_id)
+            if rebuild is not None and id(rebuild) in reached and id(rebuild) not in slots:
+                counterpart[id(rebuild)] = node
+                slot.node = rebuild
+                slots[id(rebuild)] = slot
+            else:
+                dropped.append(slot)
+        # A slot that gains or loses a parent is ``dirty``; a rebuild whose
+        # child at some position moved to another slot is ``stale``
+        # bottom-up.  An edge whose child took over its old child's slot is
+        # mirrored and needs nothing.
+        fresh: dict[int, Slot] = {}
+        dirty: set[Slot] = set()
+        stale: set[Slot] = set()
+        for slot in dropped:
+            for child in slot.node.children:
+                child_slot = slots.get(id(child)) or old_slots[id(child)]
+                child_slot.parents.remove(slot)
+                dirty.add(child_slot)
+        for node in new:
+            node_id = id(node)
+            if isinstance(node, (Select, Join)):
+                predicates[node_id] = node
+                predicates_changed = True
+            old = counterpart.get(node_id)
+            if old is None:
+                slot = slots[node_id] = fresh[node_id] = Slot(node)
+                for child in node.children:
+                    child_slot = slots[id(child)]
+                    child_slot.parents.append(slot)
+                    dirty.add(child_slot)
+                continue
+            for child, old_child in zip(node.children, old.children):
+                if child is old_child or counterpart.get(id(child)) is old_child:
+                    continue  # mirrored
+                slot = slots[node_id]
+                child_slot = slots[id(child)]
+                old_child_slot = slots.get(id(old_child)) or old_slots[id(old_child)]
+                child_slot.parents.append(slot)
+                old_child_slot.parents.remove(slot)
+                dirty.add(child_slot)
+                dirty.add(old_child_slot)
+                stale.add(slot)
+        reparented = [
+            slot.node
+            for slot in dirty
+            if slots.get(id(slot.node)) is slot
+            and id(slot.node) not in counterpart
+            and id(slot.node) not in fresh
+        ]
+        self._refresh(counterpart, fresh, dirty, stale)
+        return PlanDelta(
+            retired=retired,
+            reparented=reparented,
+            predicates_changed=predicates_changed,
+        )
+
+    # -- structure ---------------------------------------------------------------
+
+    def _traverse(self, root: Operator) -> tuple[list[Operator], set[int]]:
+        """Recompute the post-order; return its not-yet-indexed nodes and all ids.
+
+        The post-order DFS of ``iter_nodes`` (same order), inlined: a
+        ``None`` on the walk stack marks where the top of ``expanded`` is
+        complete and gets emitted.
+        """
+        indexed = self.slots
+        order: list[Operator] = []
+        position: dict[int, int] = {}
+        new: list[Operator] = []
+        seen: set[int] = set()
+        expanded: list[Operator] = []
+        walk: list[Optional[Operator]] = [root]
+        pop, push, mark = walk.pop, walk.append, seen.add
+        while walk:
+            node = pop()
+            if node is None:
+                node = expanded.pop()
+                node_id = id(node)
+                position[node_id] = len(order)
+                order.append(node)
+                if node_id not in indexed:
+                    new.append(node)
+                continue
+            node_id = id(node)
+            if node_id in seen:
+                continue
+            mark(node_id)
+            expanded.append(node)
+            push(None)
+            for child in reversed(node.children):
+                if id(child) not in seen:
+                    push(child)
+        self.order, self.position = order, position
+        return new, seen
+
+    @staticmethod
+    def _unreached(old_root: Operator, reached: set[int]) -> list[Operator]:
+        """The old nodes the new plan no longer reaches (their parents all left)."""
+        if id(old_root) in reached:
+            return []
+        retired = [old_root]
+        marked = {id(old_root)}
+        for node in retired:  # grows while iterating
+            for child in node.children:
+                child_id = id(child)
+                if child_id not in reached and child_id not in marked:
+                    marked.add(child_id)
+                    retired.append(child)
+        return retired
+
+    # -- properties --------------------------------------------------------------
+
+    def _refresh(
+        self,
+        counterpart: dict[int, Operator],
+        fresh: dict[int, Slot],
+        dirty: set[Slot],
+        stale: set[Slot],
+    ) -> None:
+        """Recompute the values one step may have changed (see the class doc).
+
+        Both passes are worklists ordered by post-order position: bottom-up
+        pops the lowest position first (children before parents), top-down
+        the highest (parents before children).
+        """
+        slots, position, root = self.slots, self.position, self.root
+        const_of = _SlotField(slots, "const")
+        keys_of = _SlotField(slots, "keys")
+        # Bottom-up: fresh slots and stale rebuilds; a changed value or
+        # schema makes the parents stale.
+        schema_changed: set[Slot] = set()
+        heap = [(position[id(slot.node)], id(slot.node), slot) for slot in stale]
+        heap.extend((position[node_id], node_id, slot) for node_id, slot in fresh.items())
+        heapq.heapify(heap)
+        done: set[int] = set()
+        while heap:
+            _, node_id, slot = heapq.heappop(heap)
+            if node_id in done:
+                continue
+            done.add(node_id)
+            node = slot.node
+            const = _infer_const(node, const_of)
+            keys = _infer_keys(node, keys_of)
+            old = counterpart.get(node_id)
+            if old is not None:
+                if const == slot.const:
+                    const = slot.const
+                if keys == slot.keys:
+                    keys = slot.keys
+                if node.columns != old.columns:
+                    schema_changed.add(slot)
+                elif const is slot.const and keys is slot.keys:
+                    continue
+            slot.const, slot.keys = const, keys
+            for parent in slot.parents:
+                heapq.heappush(heap, (position[id(parent.node)], id(parent.node), parent))
+        # Top-down: fresh slots, changed parent multisets or schemas, and
+        # the children of changed values.
+        pending = [
+            (-position[id(slot.node)], id(slot.node), slot)
+            for slot in itertools.chain(dirty, schema_changed)
+            if slots.get(id(slot.node)) is slot
+        ]
+        pending.extend((-position[node_id], node_id, slot) for node_id, slot in fresh.items())
+        heapq.heapify(pending)
+        done.clear()
+        while pending:
+            _, node_id, slot = heapq.heappop(pending)
+            if node_id in done:
+                continue
+            done.add(node_id)
+            node = slot.node
+            if node is root:
+                icols, is_set, refs = _root_icols(node), False, _NO_REFS
+            else:
+                icols, is_set, refs = self._pull(slot)
+            if node_id not in fresh:
+                if icols == slot.icols:
+                    icols = slot.icols
+                if refs == slot.refs:
+                    refs = slot.refs
+                if icols is slot.icols and refs is slot.refs and is_set == slot.is_set:
+                    continue
+            slot.icols, slot.is_set, slot.refs = icols, is_set, refs
+            for child in node.children:
+                heapq.heappush(pending, (-position[id(child)], id(child), slots[id(child)]))
+
+    @staticmethod
+    def _pull(slot: Slot) -> tuple[frozenset[str], bool, frozenset[str]]:
+        """The top-down values of ``slot``'s node: its parents' contributions.
+
+        The same unions (``icols``, refs) and conjunction (``set``) as the
+        push-based ``_propagate_down`` pass and the rule context's lazy
+        ``upstream_refs`` recursion, computed per node instead of per edge.
+        """
+        node = slot.node
+        icols: frozenset[str] = frozenset()
+        is_set = True
+        refs: set[str] = set()
+        for parent_slot in slot.parents:
+            parent = parent_slot.node
+            for position, child in enumerate(parent.children):
+                if child is node:
+                    icols = icols | _child_icols(parent, position, node, parent_slot.icols)
+                    is_set = is_set and _child_set(parent, position, parent_slot.is_set)
+            refs |= _parent_refs(parent, node, parent_slot.refs)
+        return icols, is_set, frozenset(refs) if refs else _NO_REFS
 
 
 # ---------------------------------------------------------------------------

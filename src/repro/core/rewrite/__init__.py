@@ -16,9 +16,10 @@ that description literal — rules are **data**, not Python control flow:
   generalised key-join collapse (9*) re-expressed in the declarative form,
   assembled into the goal groups the driver runs;
 * :mod:`repro.core.rewrite.engine` — the drivers: the production
-  **worklist** driver (pattern-indexed dispatch over dirty nodes with
-  scoped property re-inference) and the **legacy** restart-from-root
-  driver kept as the benchmark baseline;
+  **worklist** driver (pattern-indexed dispatch over dirty nodes, reading
+  a :class:`~repro.core.properties.PlanIndex` that each step updates
+  only where it changed the plan) and the **legacy** restart-from-root
+  driver kept as the benchmark baseline and reference;
 * :mod:`repro.core.rewrite.trace` — rewrite provenance: every applied
   step and every rejected application, threaded through
   :class:`~repro.core.rewriter.IsolationReport` into

@@ -13,15 +13,22 @@ fingerprint are unchanged (see :mod:`repro.core.rewrite.engine`).
 ``provenance_memo`` is the cross-step memo hook: provenance paths depend
 only on a node's subtree, and subtrees are identified by object identity
 (operators are immutable), so the worklist driver threads one memo dict
-through every step of an isolation run.  The memo holds the node
-reference alongside the cached path, which both validates the entry and
-pins the object so its ``id`` cannot be recycled while the entry lives.
+through every step of an isolation run and drops a node's entry when the
+node leaves the plan.  Each entry holds the node reference alongside its
+cached paths, which both validates the entry and pins the object so its
+``id`` cannot be recycled while the entry lives.
+
+The property source is either a from-scratch
+:class:`~repro.core.properties.PlanProperties` (the legacy driver; parents
+and upstream refs are then derived here) or the worklist driver's
+:class:`~repro.core.properties.PlanIndex`, which also supplies the parent
+map, the upstream refs and the plan's σ/⋈ nodes without a plan traversal.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Union
 
 from repro.algebra.dag import iter_nodes, parents_map
 from repro.algebra.operators import (
@@ -37,11 +44,11 @@ from repro.algebra.operators import (
     Select,
     Serialize,
 )
-from repro.core.properties import PlanProperties, _parent_refs
+from repro.core.properties import PlanIndex, PlanProperties, _parent_refs
 
 #: One provenance path: ``[(node, column), ..., (origin, origin_column)]``.
 ProvenancePath = list
-#: Cross-step provenance memo: ``(id(node), column) -> (node, path)``.
+#: Cross-step provenance memo: ``id(node) -> (node, {column: path})``.
 ProvenanceMemo = dict
 
 
@@ -51,13 +58,15 @@ class RuleContext:
     def __init__(
         self,
         root: Operator,
-        properties: PlanProperties,
+        properties: Union[PlanProperties, PlanIndex],
         provenance_memo: Optional[ProvenanceMemo] = None,
-        parents: Optional[dict[int, list[Operator]]] = None,
     ):
         self.root = root
         self.properties = properties
-        self.parents = parents if parents is not None else parents_map(root)
+        self._index = properties if isinstance(properties, PlanIndex) else None
+        self.parents = (
+            self._index.parents if self._index is not None else parents_map(root)
+        )
         self._upstream_refs_memo: dict[int, frozenset[str]] = {}
         self._compared_origins: Optional[set[tuple[int, str]]] = None
         self._provenance_memo: ProvenanceMemo = (
@@ -87,10 +96,12 @@ class RuleContext:
         subtree below ``node``, so they are memoized by object identity —
         across rewrite steps when the driver shares the memo.
         """
-        memo_key = (id(node), column)
-        cached = self._provenance_memo.get(memo_key)
-        if cached is not None and cached[0] is node:
-            return cached[1]
+        entry = self._provenance_memo.get(id(node))
+        if entry is None or entry[0] is not node:
+            entry = self._provenance_memo[id(node)] = (node, {})
+        cached = entry[1].get(column)
+        if cached is not None:
+            return cached
         path: list[tuple[Operator, str]] = []
         current, name = node, column
         while True:
@@ -117,7 +128,7 @@ class RuleContext:
                 current = left if name in left.columns else right
                 continue
             break  # leaf (doc or literal table)
-        self._provenance_memo[memo_key] = (node, path)
+        entry[1][column] = path
         return path
 
     def origin(self, node: Operator, column: str) -> tuple[Operator, str]:
@@ -135,11 +146,8 @@ class RuleContext:
         still *mention* a column (e.g. a dead projection item) even though
         the column is not strictly required.
         """
-        eager = self.properties._refs
-        if eager is not None:
-            # The memoized top-down inference already computed refs for
-            # every node of the plan (the worklist driver's mode).
-            return eager[id(node)]
+        if self._index is not None:
+            return self._index.refs(node)
         cached = self._upstream_refs_memo.get(id(node))
         if cached is not None:
             return cached
@@ -166,7 +174,10 @@ class RuleContext:
         """
         if self._compared_origins is None:
             compared: set[tuple[int, str]] = set()
-            for node in iter_nodes(self.root):
+            index = self._index
+            for node in (
+                iter_nodes(self.root) if index is None else index.predicates.values()
+            ):
                 if isinstance(node, Select):
                     bases = [node.child]
                 elif isinstance(node, Join):

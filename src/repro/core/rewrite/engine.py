@@ -20,12 +20,12 @@ costs:
     a node whose whole rule bucket failed is skipped on later steps while
     every premise input the bucket's guards can observe is provably
     unchanged (all rules tried at a node in one visit share one property
-    snapshot, so the per-node entry loses nothing).
-    Property re-inference is scoped the same way — the bottom-up
-    ``const`` / ``key`` properties and the column-provenance paths are
-    memoized by subtree object identity across steps, so a step costs
-    guard evaluations proportional to the *changed region* of the plan,
-    not to its size.
+    snapshot, so the per-node entry loses nothing).  Everything the scan
+    and the guards read — parents, post-order, σ/⋈ nodes, ``const`` /
+    ``keys`` / ``icols`` / ``set`` / upstream refs — lives in one
+    :class:`~repro.core.properties.PlanIndex` that lasts the whole run and
+    folds in each pushout's delta, so a step costs the region it changed
+    (plus one DFS for the scan order), not the whole plan.
 
 Why skipping is sound — every input a guard can observe is covered by one
 of four channels, and each channel conservatively clears the memo:
@@ -37,31 +37,27 @@ of four channels, and each channel conservatively clears the memo:
 * **local top-down state** (``icols``, ``set``, ``needed_columns`` of the
   matched node): the entry stores the property value *objects* observed at
   failure time and is re-checked by identity on revisit — sound because
-  re-inference reuses the previous value object whenever the recomputed
-  value is equal to it.
+  the index keeps the previous value object whenever a recomputed value
+  is equal to it.
 * **sharing** (parents of the node or of its descendants, consulted by
-  projection fusion and the key-join collapse's spine widening): after
-  each step the driver diffs every surviving node's parent identity tuple
-  against the previous step and clears the memo for changed nodes *and
-  all their ancestors* — an ancestor's guard may have looked at this
-  node's parents.  A parent replaced by its *mechanical rebuild* (the
-  pushout's :attr:`~repro.algebra.dag.Pushout.rebuilt` map: same operator,
-  same fields, ``with_children`` over new inputs) does not count as a
-  change: every field a guard can observe on that parent is intact.
+  projection fusion and the key-join collapse's spine widening): each
+  step's delta names the surviving nodes whose parent multiset changed,
+  and the driver clears the memo for them *and all their ancestors* — an
+  ancestor's guard may have looked at this node's parents.  A parent
+  replaced by its *mechanical rebuild* (the pushout's
+  :attr:`~repro.algebra.dag.Pushout.rebuilt` map: same operator, same
+  fields, ``with_children`` over new inputs) does not count as a change:
+  every field a guard can observe on that parent is intact.
 * **global predicate comparisons** (``rank_compared_upstream``): the set
-  of compared column origins is fingerprinted each step into an *epoch*;
+  of compared column origins is fingerprinted into an *epoch*, bumped
+  whenever a σ/⋈ enters or leaves the plan (a rebuilt one included);
   entries of the two epoch-sensitive rules ((12) and (14)) are only
   trusted within the epoch they were recorded in.
 
-A pushout rebuilds the whole ancestor cone of a replacement, so on deep
-plans most operator *objects* change every step even though almost none
-of their *fields* do.  The driver therefore migrates its identity-keyed
-property memos along the pushout's ``rebuilt`` map before each step —
-re-keying an entry from the old object to its field-identical rebuild —
-and lets the per-child/per-parent validity checks inside
-:mod:`repro.core.properties` decide how far the actual change cascades.
-Failure-memo entries are *not* migrated: a guard may have observed the
-rebuilt node's (changed) children, so a rebuilt node is always re-tried.
+Failure-memo entries never carry over to a rebuild (a guard may have
+observed the rebuilt node's changed children, so a rebuilt node is always
+re-tried), and the entries of nodes that leave the plan are dropped with
+them.
 
 Rejected applications — rules whose replacement failed the *global*
 premise while being glued in (an ``AlgebraError`` from the pushout) — are
@@ -72,12 +68,13 @@ worklist retries them exactly as often.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, RewriteError
 from repro.algebra.dag import iter_nodes, pushout
-from repro.algebra.operators import Join, Operator, Select, Serialize
-from repro.core.properties import infer_properties
+from repro.algebra.operators import Operator, Serialize
+from repro.core.properties import PlanDelta, PlanIndex, infer_properties
 from repro.core.rewrite.context import RuleContext
 from repro.core.rewrite.rule import PatternIndex, Rule
 from repro.core.rewrite.trace import RejectedApplication, RewriteStep
@@ -197,7 +194,7 @@ class LegacyDriver(_DriverBase):
 
 
 class WorklistDriver(_DriverBase):
-    """Pattern-indexed dispatch over dirty nodes with scoped re-inference."""
+    """Pattern-indexed dispatch over a delta-maintained plan index."""
 
     name = "worklist"
 
@@ -209,118 +206,54 @@ class WorklistDriver(_DriverBase):
         #: compared by *object identity* on revisit (see the module
         #: docstring).  One entry per node suffices because all rules tried
         #: at a node within one step observe the same property snapshot.
-        #: Entries pin their node object; they are phase-scoped (cleared at
-        #: every phase transition, since the bucket they quantify over
-        #: changes with the phase) and never written on a visit that saw a
-        #: global-premise rejection (the rejected rule must be retried on
-        #: every later scan).
+        #: Entries are phase-scoped (cleared at every phase transition,
+        #: since the bucket they quantify over changes with the phase),
+        #: dropped when their node leaves the plan, and never written on a
+        #: visit that saw a global-premise rejection (the rejected rule
+        #: must be retried on every later scan).
         self._fail: dict[int, tuple[Operator, frozenset, bool, frozenset, int]] = {}
-        #: Cross-step memos, keyed by object identity (entries pin their
-        #: node; validation contracts are documented at each memo's type).
-        self._bottom_up_memo: dict = {}
-        self._top_down_memo: dict = {}
-        self._provenance_memo: dict = {}
-        #: The previous step's :attr:`~repro.algebra.dag.Pushout.rebuilt`
-        #: map — the memo-migration input consumed at the start of the next
-        #: step.
-        self._last_rebuilt: dict[int, Operator] = {}
-        #: Previous step's plan root (pinned so ids stay unique), per-node
-        #: parent identity tuples and predicate-node identity-set, for the
-        #: sharing / epoch diffs.
-        self._prev_root: Optional[Operator] = None
-        self._prev_parent_ids: Optional[dict[int, tuple[int, ...]]] = None
-        self._prev_predicate_ids: Optional[frozenset[int]] = None
+        #: Cross-step provenance memo (see :mod:`repro.core.rewrite.context`).
+        self._provenance: dict = {}
         self._epoch = 0
-        self._steps_since_prune = 0
 
     def run(self, plan: Operator, phases: list[Phase]) -> Operator:
+        index = PlanIndex(plan)
         for phase_name, rules in phases:
             if not rules:
                 continue
-            index = PatternIndex(rules, sensitive=_EPOCH_SENSITIVE)
+            patterns = PatternIndex(rules, sensitive=_EPOCH_SENSITIVE)
             # Failure entries quantify over the *current phase's* buckets.
             self._fail.clear()
             while True:
                 if self.step_count >= self.max_steps:
                     self.converged = False
-                    return plan
-                rewritten = self._step(plan, index, phase_name)
-                if rewritten is None:
+                    return index.root
+                if not self._step(index, patterns, phase_name):
                     break
-                plan = rewritten
-        return plan
+        return index.root
 
     # -- one step -----------------------------------------------------------------
 
-    def _step(self, plan: Operator, index: PatternIndex, phase: str) -> Optional[Operator]:
-        # Migrate the property memos along the previous pushout's mechanical
-        # rebuilds: re-key each entry to the field-identical new object and
-        # pin it (see the module docstring; validity is still decided by
-        # the per-child/per-parent checks inside the memos' consumers).
-        rebuilt = self._last_rebuilt
-        if rebuilt:
-            for memo in (self._bottom_up_memo, self._top_down_memo):
-                for old_id, new_node in rebuilt.items():
-                    entry = memo.pop(old_id, None)
-                    if entry is not None:
-                        memo[id(new_node)] = (new_node,) + entry[1:]
-        # One traversal per step: the topological order and the parent map
-        # are computed once and shared by property inference, the rule
-        # context, the pushout fast path and the memo maintenance below.
-        # Inlined post-order DFS (cf. ``iter_nodes``): the generator's
-        # resumption overhead is measurable at one traversal per step.
-        nodes: list[Operator] = []
-        seen: set[int] = set()
-        walk: list[tuple[Operator, bool]] = [(plan, False)]
-        while walk:
-            node, expanded = walk.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            walk.append((node, True))
-            for child in reversed(node.children):
-                if id(child) not in seen:
-                    walk.append((child, False))
-        parents: dict[int, list[Operator]] = {id(node): [] for node in nodes}
-        for node in nodes:
-            for child in node.children:
-                parents[id(child)].append(node)
-        properties = infer_properties(
-            plan,
-            bottom_up_memo=self._bottom_up_memo,
-            top_down_memo=self._top_down_memo,
-            order=nodes,
-            parents=parents,
-            rebuilt=rebuilt,
-        )
-        ctx = RuleContext(
-            plan,
-            properties,
-            provenance_memo=self._provenance_memo,
-            parents=parents,
-        )
-        self._refresh_memos(plan, ctx, nodes, rebuilt)
-        self._last_rebuilt = {}
+    def _step(self, index: PlanIndex, patterns: PatternIndex, phase: str) -> bool:
+        """Apply the first match in scan order; False when nothing matches."""
+        plan = index.root
+        ctx = RuleContext(plan, index, provenance_memo=self._provenance)
         epoch = self._epoch
         fail = self._fail
-        icols_by = properties._icols
-        set_by = properties._set
-        refs_by = properties._refs
-        for_node = index.for_node
-        epoch_blind = index.epoch_blind
-        for node in nodes:
+        slots = index.slots
+        for_node = patterns.for_node
+        epoch_blind = patterns.epoch_blind
+        for node in index.order:
             if isinstance(node, Serialize):
                 continue
             bucket = for_node(node)
             if not bucket:
                 continue
             node_id = id(node)
-            icols = icols_by[node_id]
-            is_set = set_by[node_id]
-            refs = refs_by[node_id]
+            slot = slots[node_id]
+            icols = slot.icols
+            is_set = slot.is_set
+            refs = slot.refs
             entry = fail.get(node_id)
             if (
                 entry is not None
@@ -339,14 +272,17 @@ class WorklistDriver(_DriverBase):
                 replacements = result if isinstance(result, dict) else {node_id: result}
                 replacement_label = replacements[node_id].label()
                 try:
-                    glued = pushout(plan, replacements, parents=parents, order=nodes)
+                    glued = pushout(
+                        plan,
+                        replacements,
+                        cone=index.ancestors([node]) if len(replacements) == 1 else None,
+                    )
                 except AlgebraError as error:
                     # Global-premise rejection: never memoized (see module
                     # docstring) — the pair is retried on every later scan.
                     self._reject(rule, node, error, phase)
                     rejected = True
                     continue
-                self._last_rebuilt = glued.rebuilt
                 new_at_target = glued.glued.get(node_id)
                 self._record(
                     rule,
@@ -355,99 +291,36 @@ class WorklistDriver(_DriverBase):
                     id(new_at_target) if new_at_target is not None else 0,
                     phase,
                 )
-                return glued.root
+                self._absorb(index, index.apply(glued))
+                return True
             if not rejected:
                 fail[node_id] = (node, icols, is_set, refs, epoch)
-        return None
+        return False
 
     # -- memo maintenance ---------------------------------------------------------
 
-    def _refresh_memos(
-        self,
-        plan: Operator,
-        ctx: RuleContext,
-        nodes: list[Operator],
-        rebuilt: dict[int, Operator],
-    ) -> None:
-        """Clear memo entries whose premise channels changed; prune the dead.
-
-        Runs once per step in O(plan edges): identity comparisons only, no
-        property or provenance work.  Dead entries (keyed by nodes no
-        longer in the plan) are harmless — they pin their node object, so
-        an id can never be recycled into a false hit — and are swept only
-        periodically to keep the per-step cost flat.
-        """
+    def _absorb(self, index: PlanIndex, delta: PlanDelta) -> None:
+        """Update the failure and provenance memos from one step's delta."""
+        fail = self._fail
+        for node in delta.retired:
+            fail.pop(id(node), None)
+            self._provenance.pop(id(node), None)
         # Epoch: ``rank_compared_upstream`` is a function of the plan's σ/⋈
         # operators (each predicate column's origin is determined by the —
-        # immutable — operator object it hangs off).  An unchanged σ/⋈
-        # identity-set therefore implies an unchanged compared-origins set;
-        # bump the epoch whenever the identity-set moved (conservative: a
-        # changed set merely re-enables rules (12)/(14) for one re-try).
-        # Mechanical rebuilds do NOT excuse a σ/⋈ here: the rebuild's
-        # *subtree* changed, so its predicate columns may resolve to new
-        # origins.
-        predicate_ids = frozenset(
-            id(node) for node in nodes if isinstance(node, (Select, Join))
-        )
-        if (
-            self._prev_predicate_ids is not None
-            and predicate_ids != self._prev_predicate_ids
-        ):
+        # immutable — operator object it hangs off), so an unchanged σ/⋈
+        # identity-set implies an unchanged compared-origins set.  A
+        # mechanically rebuilt σ/⋈ is a new object and bumps the epoch: its
+        # subtree changed, so its columns may resolve to new origins.
+        if delta.predicates_changed:
             self._epoch += 1
-        # Sharing: diff every surviving node's parent identity tuple against
-        # the previous step; a change dirties the node and all its ancestors
-        # (their guards may consult this node's parents).  A parent that
-        # merely became its mechanical rebuild is normalised back to its old
-        # id first — every parent field a guard can observe is intact, so
-        # the edge did not change in any way a guard could have seen.
-        parent_ids = {
-            nid: tuple(map(id, plist)) for nid, plist in ctx.parents.items()
-        }
-        if self._prev_parent_ids is not None and self._fail:
-            previous_parent_ids = self._prev_parent_ids
-            old_id_of = {id(new): old_id for old_id, new in rebuilt.items()}
-            dirty = []
-            for node in nodes:
-                current = parent_ids[id(node)]
-                previous = previous_parent_ids.get(id(node))
-                if previous is None or previous == current:
-                    continue  # brand-new node, or untouched edges
-                if previous == tuple(old_id_of.get(i, i) for i in current):
-                    continue  # parents merely mechanically rebuilt
-                dirty.append(node)
-            if dirty:
-                seen = {id(node) for node in dirty}
-                queue = list(dirty)
-                while queue:
-                    for parent in ctx.parents.get(id(queue.pop()), []):
-                        if id(parent) not in seen:
-                            seen.add(id(parent))
-                            queue.append(parent)
-                self._fail = {
-                    key: entry
-                    for key, entry in self._fail.items()
-                    if key not in seen
-                }
-        # Keep the previous root alive until *after* the diffs above so no
-        # id from the previous step could have been recycled meanwhile.
-        self._prev_root = plan
-        self._prev_parent_ids = parent_ids
-        self._prev_predicate_ids = predicate_ids
-        # Periodic sweep of entries keyed by dropped nodes (memory only).
-        self._steps_since_prune += 1
-        if self._steps_since_prune >= 64:
-            self._steps_since_prune = 0
-            alive = set(parent_ids)
-            self._fail = {k: v for k, v in self._fail.items() if k in alive}
-            self._bottom_up_memo = {
-                k: v for k, v in self._bottom_up_memo.items() if k in alive
-            }
-            self._top_down_memo = {
-                k: v for k, v in self._top_down_memo.items() if k in alive
-            }
-            self._provenance_memo = {
-                k: v for k, v in self._provenance_memo.items() if k[0] in alive
-            }
+        # Sharing: a node whose parents changed (other than by mechanical
+        # rebuilds) is dirty, and so are all its ancestors — their guards
+        # may consult this node's parents.
+        if delta.reparented and fail:
+            for ancestor in itertools.chain(
+                delta.reparented, index.ancestors(delta.reparented)
+            ):
+                fail.pop(id(ancestor), None)
 
 
 #: Driver name → class, the dispatch table behind ``JoinGraphIsolation.driver``.
@@ -467,7 +340,7 @@ def run_phases(
     try:
         driver_class = DRIVERS[driver]
     except KeyError:
-        raise ValueError(
+        raise RewriteError(
             f"unknown rewrite driver {driver!r} (expected one of {sorted(DRIVERS)})"
         ) from None
     engine = driver_class(max_steps)

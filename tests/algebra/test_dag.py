@@ -2,9 +2,10 @@
 
 from repro.algebra.dag import (
     count_operators, find_first, iter_nodes, node_count, operator_histogram,
-    parents_map, reaches, replace_node, shared_nodes, substitute,
+    parents_map, pushout, reaches, replace_node, shared_nodes, substitute,
 )
-from repro.algebra.operators import Attach, Distinct, DocTable, Project, Select
+from repro.algebra.operators import Attach, Cross, Distinct, DocTable, Project, Select, Serialize
+from repro.algebra.render import render_plan
 from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 
 
@@ -120,3 +121,22 @@ def test_substitute_self_reference_still_allowed_in_multi_maps():
     distincts = [n for n in iter_nodes(new_top) if isinstance(n, Distinct)]
     assert len(distincts) == 1
     assert distincts[0].child is select  # the self-reference was not re-replaced
+
+
+def test_pushout_cone_fast_path_matches_generic_path():
+    """Given the target's ancestors in post-order, the fast path rebuilds
+    exactly the generic path's graph: same shape, same sharing, same
+    mechanical-rebuild map."""
+    doc = DocTable()
+    a = Project(doc, [("a", "pre")])
+    b = Project(doc, [("b", "pre")])
+    top = Serialize(Attach(Cross(Project(a, [("a", "a")]), b), "c", 1))
+    replacement = Project(doc, [("a", "size")])
+    cone = [node for node in iter_nodes(top) if node is not a and reaches(node, a)]
+    generic = pushout(top, {id(a): replacement})
+    fast = pushout(top, {id(a): replacement}, cone=cone)
+    assert render_plan(fast.root) == render_plan(generic.root)
+    assert set(fast.rebuilt) == set(generic.rebuilt) == {id(node) for node in cone}
+    assert fast.glued == generic.glued == {id(a): replacement}
+    cross = fast.root.child.child
+    assert cross.right is b and cross.left.child is replacement

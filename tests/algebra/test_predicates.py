@@ -19,6 +19,21 @@ def test_rename():
     assert predicate.column_equalities() == [("z", "b")]
 
 
+def test_cached_columns_follow_rename_and_conjoin():
+    """``columns()`` is computed once per predicate; derived predicates
+    report their own columns, and equality/hashing stay field-based."""
+    base = Predicate.equality("a", "b")
+    assert base.columns() == frozenset({"a", "b"})
+    assert base.rename({"a": "z"}).columns() == frozenset({"z", "b"})
+    conjoined = base.conjoin(Predicate.of(Comparison(column("c"), "<", const(3))))
+    assert conjoined.columns() == frozenset({"a", "b", "c"})
+    assert base.columns() == frozenset({"a", "b"})  # operands untouched
+    twin = Predicate.equality("a", "b")
+    assert twin == base and hash(twin) == hash(base)
+    assert twin != base.rename({"a": "z"})
+    assert "_columns" not in repr(base)
+
+
 def test_evaluate_conjunction():
     predicate = Predicate.of(
         Comparison(column("a"), "<", column("b")),

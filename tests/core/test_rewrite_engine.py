@@ -1,9 +1,9 @@
 """Driver equivalence, pinned XMark histograms, ablations, and provenance.
 
 The worklist driver must be an *optimisation only*: on every runnable
-XMark query it has to apply the identical rule sequence, record the
-identical rejections, and produce the identical plan as the legacy
-restart-from-root driver.  The histograms below are additionally **pinned**
+XMark query, and on a seeded slice of generated queries, it has to apply
+the identical rule sequence, record the identical rejections, and produce
+the identical plan as the legacy restart-from-root driver.  The histograms below are additionally **pinned**
 — a change to any count is a behaviour change of the rewrite system and
 must be deliberate, not incidental.
 
@@ -22,11 +22,15 @@ import pytest
 
 from repro.errors import RewriteError
 from repro.algebra.dag import count_operators, node_count
-from repro.algebra.operators import Distinct, Join, RowRank
+from repro.algebra.operators import Distinct, DocTable, Join, Project, RowRank, Select, Serialize
+from repro.algebra.predicates import ColumnRef, Comparison, Literal, Predicate
 from repro.algebra.render import render_plan
 from repro.bench.xmark import XMARK_SUITE
-from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, RuleContext
+from repro.core.rewrite import CLEANUP_GROUP, RANK_GROUP, Rule, RuleContext, run_phases
+from repro.core.rewrite.rule import MATCHED, pattern
 from repro.core.rewriter import JoinGraphIsolation, isolate
+from repro.errors import ReproError
+from repro.testing.queries import QueryGenerator
 from repro.xquery.compiler import CompilerSettings, compile_query
 
 SETTINGS = CompilerSettings(default_document="auction.xml")
@@ -289,6 +293,60 @@ def test_drivers_agree_and_histograms_are_pinned(case):
         assert rejection.rule not in CLEANUP_RULE_NAMES, (
             f"cleanup rule {rejection.rule!r} rejected on {case.name}"
         )
+
+
+#: A seeded slice of the property-sweep corpus: shapes the XMark suite does
+#: not have (quantifiers, positionals, aggregates in ``where``, ...).
+GENERATED = QueryGenerator(seed=20091).corpus(50)
+
+
+@pytest.mark.parametrize("start", range(0, len(GENERATED), 10))
+def test_drivers_agree_on_generated_queries(start):
+    for query in GENERATED[start : start + 10]:
+        plan = compile_query(query.source, CompilerSettings())
+        legacy_plan, legacy_report, legacy_apps, legacy_rejs = _isolate_with(
+            "legacy", plan
+        )
+        work_plan, work_report, work_apps, work_rejs = _isolate_with("worklist", plan)
+        where = f"generated case {query.index} of seed {query.seed}: {query.source}"
+        assert legacy_apps == work_apps, where
+        assert legacy_rejs == work_rejs, where
+        assert _normalize(render_plan(legacy_plan)) == _normalize(
+            render_plan(work_plan)
+        ), where
+        assert legacy_report.converged and work_report.converged, where
+
+
+def test_rejected_rewrites_match_across_drivers():
+    """A locally matching rewrite whose gluing trips an operator check in
+    the rebuilt cone is recorded as a rejection, leaves the plan as it
+    was, and is reported identically by both drivers."""
+    doc = DocTable()
+    narrowed = Project(doc, [("a", "pre"), ("b", "size")])
+    select = Select(narrowed, Predicate.of(Comparison(ColumnRef("a"), ">", Literal(1))))
+    plan = Serialize(Project(select, [("pos", "b"), ("item", "b")]))
+    drop_first = Rule(
+        name="drop_first_item",
+        pattern=pattern(Project, DocTable),
+        guard=lambda node, ctx: MATCHED if len(node.items) > 1 else None,
+        build=lambda node, match, ctx: Project(node.child, node.items[1:]),
+    )
+    rejections = {}
+    for driver in ("legacy", "worklist"):
+        rewritten, engine = run_phases(plan, [("only", (drop_first,))], driver=driver)
+        assert rewritten is plan and not engine.steps
+        rejections[driver] = [(r.rule, r.target, r.error) for r in engine.rejections]
+    assert rejections["legacy"] == rejections["worklist"]
+    ((rule, _target, error),) = rejections["worklist"]
+    assert rule == "drop_first_item" and error.startswith("σ: unknown column(s) ['a']")
+
+
+def test_unknown_driver_is_a_typed_error():
+    plan = compile_query(RUNNABLE[0].xquery, SETTINGS)
+    with pytest.raises(RewriteError, match="unknown rewrite driver 'fastest'") as excinfo:
+        JoinGraphIsolation(driver="fastest").isolate(plan)
+    assert isinstance(excinfo.value, ReproError)
+    assert "legacy" in str(excinfo.value) and "worklist" in str(excinfo.value)
 
 
 # -- non-convergence diagnostics ----------------------------------------------------
